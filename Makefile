@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet check test test-short bench bench-smoke bench-live bench-liverpc bench-pool bench-transport bench-diff pool-demo load-demo load-smoke bench-load experiments experiments-full fuzz fuzz-smoke clean
+.PHONY: all build vet fmt-check check test test-short bench bench-smoke bench-live bench-liverpc bench-pool bench-transport bench-diff pool-demo load-demo load-smoke bench-load experiments experiments-full fuzz fuzz-smoke clean
 
 all: build vet test
 
@@ -12,11 +12,15 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Fails when any Go file is not gofmt-formatted, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l *.go cmd examples internal stackbench); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 # Fast correctness gate: static checks plus the live-path, wire-protocol,
 # and fault-injection packages under the race detector (the striped DM
 # server's concurrency — and the chaos/lease-reaping tests — are only
-# trustworthy raced).
-check: vet
+# trustworthy raced). Unformatted Go fails the gate.
+check: fmt-check vet
 	$(GO) test -race ./internal/live/... ./internal/liverpc/... ./internal/dmwire/... ./internal/faultnet/... ./internal/pool/... ./internal/loadgen/... ./internal/registry/... ./internal/migrate/... ./internal/refcache/...
 
 # Full suite: unit, property, invariant and paper-shape tests (~4 min),
@@ -133,17 +137,18 @@ fuzz-smoke:
 	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=5s
 	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzStatusRoundTrip -fuzztime=5s
 	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzCallEnvelope -fuzztime=5s
-	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzLocatedRef -fuzztime=5s
 
-# Brief fuzzing passes over every wire-facing decoder.
+# Brief fuzzing passes over every wire-facing decoder: every fuzz-smoke
+# target plus the simulator-side decoders, 30 s each.
 fuzz:
 	$(GO) test ./internal/live -run='^$$' -fuzz=FuzzReadFrame -fuzztime=30s
 	$(GO) test ./internal/live -run='^$$' -fuzz=FuzzServerDispatch -fuzztime=30s
 	$(GO) test ./internal/transport -run='^$$' -fuzz=FuzzDecodeHeader -fuzztime=30s
 	$(GO) test ./internal/rpc -run='^$$' -fuzz=FuzzDec -fuzztime=30s
 	$(GO) test ./internal/dm -run='^$$' -fuzz=FuzzUnmarshalRef -fuzztime=30s
+	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzUnmarshal -fuzztime=30s
+	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzStatusRoundTrip -fuzztime=30s
 	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzCallEnvelope -fuzztime=30s
-	$(GO) test ./internal/dmwire -run='^$$' -fuzz=FuzzLocatedRef -fuzztime=30s
 
 clean:
 	$(GO) clean ./...

@@ -81,7 +81,7 @@ commands:
                                 -cache-bytes enables the hot-ref payload
                                 cache (whole-object reads from memory):
     pool stage -text <s>          stage onto a ring-chosen shard, print
-                                  the located ref and its v1 wire form
+                                  the located ref and its replica shards
     pool read  -size <n> -n <k>   stage k objects, read each back via its
                                   located ref, print the shard spread
     pool chain -hops <h> -size <n> -n <ops>
@@ -274,15 +274,8 @@ func cmdPoolStage(p *pool.Client, args []string) {
 	fs.Parse(args)
 	ref, err := p.StageRef([]byte(*text))
 	exitOn(err)
-	if reps := p.Replicas(ref); len(reps) >= 2 {
-		wire := dmwire.LocateReplicated(ref, reps).Marshal()
-		fmt.Printf("staged %d bytes on shards %v as %v (replicated wire form %d bytes: %x)\n",
-			len(*text), reps, ref, len(wire), wire)
-		return
-	}
-	wire := dmwire.Locate(ref).Marshal()
-	fmt.Printf("staged %d bytes on shard %d as %v (located wire form %d bytes: %x)\n",
-		len(*text), ref.Server, ref, len(wire), wire)
+	fmt.Printf("staged %d bytes on shard %d as %v (replica shards %v)\n",
+		len(*text), ref.Server, ref, p.Replicas(ref))
 }
 
 func cmdPoolRead(p *pool.Client, args []string) {
@@ -413,7 +406,7 @@ func cmdPoolRegistry(p *pool.Client, args []string) {
 }
 
 // cmdPoolChain is cmdChain with every hop holding its own POOL session:
-// refs cross the chain in the v1 located wire form, so any hop can fetch
+// refs cross the chain as located-ref arguments, so any hop can fetch
 // from whichever shard the payload landed on.
 func cmdPoolChain(addrs []string, args []string) {
 	fs := flag.NewFlagSet("pool chain", flag.ExitOnError)

@@ -61,8 +61,9 @@ func NewClient(node *rpc.Node, servers []simnet.Addr) *Client {
 // before any other call ("the global PID is assigned by our software
 // running on DM servers", §V-A).
 func (c *Client) Register(p *sim.Proc) error {
+	req := dmwire.RegisterReq{Version: dmwire.ProtocolVersion}.Marshal()
 	for i, srv := range c.servers {
-		resp, err := c.node.Call(p, srv, MRegister, nil)
+		resp, err := c.node.Call(p, srv, MRegister, req)
 		if err != nil {
 			return fmt.Errorf("dmnet: register with server %d: %w", i, err)
 		}

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dm"
+	"repro/internal/dmwire"
 	"repro/internal/rpc"
 	"repro/internal/sim"
 	"repro/internal/simnet"
@@ -508,6 +510,36 @@ func TestUnregisteredClientRejected(t *testing.T) {
 	r.eng.Shutdown()
 	if err == nil {
 		t.Fatal("Alloc before Register succeeded")
+	}
+}
+
+// TestRegisterRefusesOtherProtocolVersions: the simulated server refuses
+// a register naming another protocol version, or none, before
+// allocating a PID, and accepts the versioned register that follows.
+func TestRegisterRefusesOtherProtocolVersions(t *testing.T) {
+	r := newRig(t, 1, 1, nil)
+	srv := r.servers[0]
+	var errs []error
+	var regErr error
+	r.eng.Spawn("test", func(p *sim.Proc) {
+		for _, body := range [][]byte{{dmwire.ProtocolVersion + 1}, nil} {
+			_, err := r.c1.node.Call(p, r.addrs[0], MRegister, body)
+			errs = append(errs, err)
+		}
+		regErr = r.c1.Register(p)
+	})
+	r.eng.Run()
+	r.eng.Shutdown()
+	for i, err := range errs {
+		if err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
+			t.Errorf("refused register %d: err = %v, want a protocol version mismatch", i, err)
+		}
+	}
+	if regErr != nil {
+		t.Fatalf("versioned register: %v", regErr)
+	}
+	if srv.nextPID != 1 || len(srv.vas) != 1 {
+		t.Fatalf("refused registers allocated PIDs: nextPID=%d vas=%d", srv.nextPID, len(srv.vas))
 	}
 }
 

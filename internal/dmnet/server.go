@@ -140,6 +140,9 @@ func (s *Server) pageSize() int64 { return int64(s.cfg.Memory.PageSize) }
 // --- handlers ---
 
 func (s *Server) handleRegister(ctx *rpc.Ctx, body []byte) ([]byte, error) {
+	if _, err := dmwire.UnmarshalRegisterReq(body); err != nil {
+		return nil, err
+	}
 	pid := s.nextPID
 	s.nextPID++
 	s.vas[pid] = dm.NewVAAllocator(s.cfg.Memory.PageSize, s.cfg.VABase, s.cfg.VALimit)

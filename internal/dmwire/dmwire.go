@@ -6,6 +6,9 @@
 package dmwire
 
 import (
+	"errors"
+	"fmt"
+
 	"repro/internal/dm"
 	"repro/internal/rpc"
 )
@@ -119,43 +122,73 @@ func ErrOf(status byte, msg string) error {
 	}
 }
 
+// ProtocolVersion is the dmwire protocol revision this build speaks. A
+// client sends it in its RegisterReq and a server refuses any other
+// value: every message has exactly one wire layout, so the register-time
+// check is the protocol's only compatibility mechanism. Bump it whenever
+// any layout changes.
+const ProtocolVersion = 1
+
+// ErrProtocolVersion reports a register request from a peer speaking a
+// different protocol version (or sending no version at all).
+var ErrProtocolVersion = errors.New("dmwire: protocol version mismatch")
+
+// errBadLayout reports a fixed-layout body of the wrong length or with
+// an out-of-range field.
+var errBadLayout = errors.New("dmwire: body does not match the message layout")
+
+// fixedDec returns a decoder over b after checking that b is exactly n
+// bytes, the one layout of a fixed-size message.
+func fixedDec(b []byte, n int) (*rpc.Dec, error) {
+	if len(b) != n {
+		return nil, errBadLayout
+	}
+	return rpc.NewDec(b), nil
+}
+
+// RegisterReq is the body of an MRegister request: the protocol version
+// the client speaks.
+type RegisterReq struct {
+	Version uint8
+}
+
+// Marshal encodes the request body.
+func (r RegisterReq) Marshal() []byte { return []byte{r.Version} }
+
+// UnmarshalRegisterReq decodes the request body and checks its version:
+// anything but the single byte ProtocolVersion — an empty body included —
+// is refused with ErrProtocolVersion.
+func UnmarshalRegisterReq(b []byte) (RegisterReq, error) {
+	if len(b) != 1 || b[0] != ProtocolVersion {
+		return RegisterReq{}, fmt.Errorf("%w: peer sent %x, server speaks %d", ErrProtocolVersion, b, ProtocolVersion)
+	}
+	return RegisterReq{Version: b[0]}, nil
+}
+
 // RegisterResp is the body of a successful MRegister response.
 // LeaseMillis is the session lease TTL granted to the PID, in
 // milliseconds; 0 means the server does not lease sessions and the PID
-// lives until the server shuts down (the pre-lease behaviour).
+// lives until the server shuts down.
 //
 // HasShard/Shard report the server's cluster shard identity
 // (dmserverd -shard-id): a server deployed as one shard of a
 // consistent-hash pool (internal/pool) advertises its shard ID so
-// clients can verify their ring configuration against reality. The field
-// is appended to the original 8-byte body only when set, so pre-shard
-// clients still parse the prefix and pre-shard servers still satisfy new
-// clients (HasShard simply stays false).
+// clients can verify their ring configuration against reality.
 //
 // Credits is the per-session async credit window the server grants
 // (live credit-based flow control): a client should keep at most this
 // many asynchronous calls in flight per session. 0 means the server does
-// not advertise credits (pre-credit servers, or crediting disabled) and
-// the client falls back to its own configured limit.
+// not advertise credits (crediting disabled) and the client falls back
+// to its own configured limit.
 //
 // Epoch is the server's cache-invalidation epoch at registration (§D15):
 // the hot-ref cache's coherence baseline, so a client observing a LATER
 // epoch on a heartbeat knows something it may have cached was freed,
-// overwritten, or reaped. 0 means the server has never invalidated (or
-// predates epochs — indistinguishable, and equally safe as a baseline).
+// overwritten, or reaped. 0 means the server has never invalidated.
 //
-// Wire forms, disambiguated by body length:
+// The wire layout is fixed at 25 bytes:
 //
-//	8 bytes:  PID | LeaseMillis                          (base)
-//	12 bytes: PID | LeaseMillis | Shard                  (legacy shard)
-//	17 bytes: PID | LeaseMillis | flags u8 | Shard | Credits
-//	25 bytes: PID | LeaseMillis | flags u8 | Shard | Credits | Epoch
-//
-// The 17-byte form is emitted only when Credits > 0; the 25-byte form
-// only when Epoch > 0 (flags bit2 set). The flags byte (bit1 always set
-// as the extended-form marker, bit0 = HasShard, bit2 = epoch present)
-// can never collide with a legacy 12-byte body, which is exactly 12
-// bytes.
+//	PID u32 | LeaseMillis u32 | HasShard u8 (0/1) | Shard u32 | Credits u32 | Epoch u64
 type RegisterResp struct {
 	PID         uint32
 	LeaseMillis uint32
@@ -165,72 +198,34 @@ type RegisterResp struct {
 	Epoch       uint64
 }
 
-// registerRespExt marks the extended register-response form (flags bit1);
-// registerRespEpoch marks the epoch-carrying form (flags bit2).
-const (
-	registerRespExt   = 0x02
-	registerRespEpoch = 0x04
-)
+// registerRespSize is the wire length of a RegisterResp.
+const registerRespSize = 25
 
-// Marshal encodes the response body in its shortest canonical form.
+// Marshal encodes the response body.
 func (r RegisterResp) Marshal() []byte {
-	if r.Epoch > 0 {
-		flags := byte(registerRespExt | registerRespEpoch)
-		if r.HasShard {
-			flags |= 1
-		}
-		return rpc.NewEnc(25).U32(r.PID).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U32(r.Credits).U64(r.Epoch).Bytes()
+	var hasShard uint8
+	if r.HasShard {
+		hasShard = 1
 	}
-	if r.Credits > 0 {
-		flags := byte(registerRespExt)
-		if r.HasShard {
-			flags |= 1
-		}
-		return rpc.NewEnc(17).U32(r.PID).U32(r.LeaseMillis).U8(flags).U32(r.Shard).U32(r.Credits).Bytes()
-	}
-	if !r.HasShard {
-		return rpc.NewEnc(8).U32(r.PID).U32(r.LeaseMillis).Bytes()
-	}
-	return rpc.NewEnc(12).U32(r.PID).U32(r.LeaseMillis).U32(r.Shard).Bytes()
+	return rpc.NewEnc(registerRespSize).U32(r.PID).U32(r.LeaseMillis).U8(hasShard).
+		U32(r.Shard).U32(r.Credits).U64(r.Epoch).Bytes()
 }
 
-// UnmarshalRegisterResp decodes the response body (any of the four
-// length-disambiguated forms).
+// UnmarshalRegisterResp decodes the response body, rejecting any length
+// but 25 and any HasShard byte but 0 or 1.
 func UnmarshalRegisterResp(b []byte) (RegisterResp, error) {
-	d := rpc.NewDec(b)
+	d, err := fixedDec(b, registerRespSize)
+	if err != nil {
+		return RegisterResp{}, err
+	}
 	r := RegisterResp{PID: d.U32(), LeaseMillis: d.U32()}
-	if err := d.Err(); err != nil {
-		return r, err
+	hasShard := d.U8()
+	if hasShard > 1 {
+		return RegisterResp{}, errBadLayout
 	}
-	rem := d.Remaining()
-	if len(rem) >= 9 && rem[0]&registerRespExt != 0 && rem[0]>>3 == 0 {
-		flags := d.U8()
-		r.Shard = d.U32()
-		r.Credits = d.U32()
-		if flags&registerRespEpoch != 0 {
-			r.Epoch = d.U64()
-		}
-		if err := d.Err(); err != nil {
-			return r, err
-		}
-		if flags&registerRespEpoch != 0 && r.Epoch == 0 {
-			// Canonical encoders never emit the epoch form with a zero
-			// epoch; decode it as the base form so re-encoding stays a
-			// prefix of the input.
-			return RegisterResp{PID: r.PID, LeaseMillis: r.LeaseMillis}, nil
-		}
-		if flags&registerRespEpoch == 0 && r.Credits == 0 {
-			// Likewise for the credit form with zero credits.
-			return RegisterResp{PID: r.PID, LeaseMillis: r.LeaseMillis}, nil
-		}
-		r.HasShard = flags&1 != 0
-		return r, nil
-	}
-	if len(rem) >= 4 {
-		r.Shard = d.U32()
-		r.HasShard = true
-	}
-	return r, d.Err()
+	r.HasShard = hasShard == 1
+	r.Shard, r.Credits, r.Epoch = d.U32(), d.U32(), d.U64()
+	return r, nil
 }
 
 // HeartbeatReq is the body of an MHeartbeat request.
@@ -241,56 +236,45 @@ type HeartbeatReq struct {
 // Marshal encodes the request body.
 func (r HeartbeatReq) Marshal() []byte { return rpc.NewEnc(4).U32(r.PID).Bytes() }
 
-// UnmarshalHeartbeatReq decodes the request body.
+// UnmarshalHeartbeatReq decodes the request body, rejecting any length
+// but 4.
 func UnmarshalHeartbeatReq(b []byte) (HeartbeatReq, error) {
-	d := rpc.NewDec(b)
-	r := HeartbeatReq{PID: d.U32()}
-	return r, d.Err()
+	d, err := fixedDec(b, 4)
+	if err != nil {
+		return HeartbeatReq{}, err
+	}
+	return HeartbeatReq{PID: d.U32()}, nil
 }
 
 // HeartbeatResp is the body of a successful MHeartbeat response: the
-// renewed lease TTL in milliseconds, plus — when the server advertises
-// credit-based flow control — the refreshed per-session async credit
-// window, plus — once the server has ever freed, overwritten or reaped
-// a ref — its cache-invalidation epoch (DESIGN.md §D15). Like the
-// credit extension, each field is appended only when nonzero and the
-// forms are length-disambiguated, so peers from any era interoperate:
-// 4 bytes (lease), 8 (lease+credits), 16 (lease+credits+epoch).
+// renewed lease TTL in milliseconds, the refreshed per-session async
+// credit window (0 = not advertised), and the server's cache-
+// invalidation epoch (DESIGN.md §D15). The wire layout is fixed at
+// 16 bytes:
+//
+//	LeaseMillis u32 | Credits u32 | Epoch u64
 type HeartbeatResp struct {
 	LeaseMillis uint32
 	Credits     uint32
 	Epoch       uint64
 }
 
-// Marshal encodes the response body in its shortest canonical form.
+// heartbeatRespSize is the wire length of a HeartbeatResp.
+const heartbeatRespSize = 16
+
+// Marshal encodes the response body.
 func (r HeartbeatResp) Marshal() []byte {
-	if r.Epoch > 0 {
-		return rpc.NewEnc(16).U32(r.LeaseMillis).U32(r.Credits).U64(r.Epoch).Bytes()
-	}
-	if r.Credits > 0 {
-		return rpc.NewEnc(8).U32(r.LeaseMillis).U32(r.Credits).Bytes()
-	}
-	return rpc.NewEnc(4).U32(r.LeaseMillis).Bytes()
+	return rpc.NewEnc(heartbeatRespSize).U32(r.LeaseMillis).U32(r.Credits).U64(r.Epoch).Bytes()
 }
 
-// UnmarshalHeartbeatResp decodes the response body, folding
-// non-canonical long forms (explicit zero epoch) back to the shorter
-// canonical value so decode∘encode is always a prefix of the input.
+// UnmarshalHeartbeatResp decodes the response body, rejecting any length
+// but 16.
 func UnmarshalHeartbeatResp(b []byte) (HeartbeatResp, error) {
-	d := rpc.NewDec(b)
-	r := HeartbeatResp{LeaseMillis: d.U32()}
-	if err := d.Err(); err != nil {
-		return r, err
+	d, err := fixedDec(b, heartbeatRespSize)
+	if err != nil {
+		return HeartbeatResp{}, err
 	}
-	if len(d.Remaining()) >= 12 {
-		r.Credits = d.U32()
-		r.Epoch = d.U64()
-		return r, d.Err()
-	}
-	if len(d.Remaining()) >= 4 {
-		r.Credits = d.U32()
-	}
-	return r, d.Err()
+	return HeartbeatResp{LeaseMillis: d.U32(), Credits: d.U32(), Epoch: d.U64()}, nil
 }
 
 // TokenSize is the wire width of a dedup Token.

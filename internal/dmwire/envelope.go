@@ -23,13 +23,24 @@ const (
 	MaxMethodLen = 255
 	// MaxCallArgs caps the number of arguments (or results) per envelope.
 	MaxCallArgs = 64
+	// MaxRefReplicas caps the replica-hint list of a located ref (and of
+	// a registry entry): far above any sane replication factor.
+	MaxRefReplicas = 16
 )
 
 // Envelope decode errors.
 var (
-	ErrMethodTooLong = errors.New("dmwire: method name exceeds MaxMethodLen")
-	ErrTooManyArgs   = errors.New("dmwire: envelope exceeds MaxCallArgs arguments")
-	ErrBadEnvelope   = errors.New("dmwire: malformed call envelope")
+	ErrMethodTooLong   = errors.New("dmwire: method name exceeds MaxMethodLen")
+	ErrTooManyArgs     = errors.New("dmwire: envelope exceeds MaxCallArgs arguments")
+	ErrTooManyReplicas = errors.New("dmwire: replica list exceeds MaxRefReplicas")
+	ErrBadEnvelope     = errors.New("dmwire: malformed call envelope")
+)
+
+// Argument flags: the first byte of every encoded CallArg.
+const (
+	argInline = 0 // u32-length-prefixed bytes
+	argRef    = 1 // 20-byte dm.Ref, Server a connection-local index
+	argLocRef = 2 // 20-byte dm.Ref, Server a shard ID | u8 n | n x u32 replica shard IDs
 )
 
 // CallArg is one size-aware argument descriptor: inline payload bytes or
@@ -40,13 +51,14 @@ type CallArg struct {
 	IsRef bool
 	// Ref names the staged pages (valid when IsRef).
 	Ref dm.Ref
-	// Located marks a v1 cluster-addressed ref (see locref.go): Ref.Server
-	// is a cluster-wide shard ID from the pool's consistent-hash ring, not
-	// a connection-local server index. Valid when IsRef.
+	// Located marks a cluster-addressed ref: Ref.Server is a cluster-wide
+	// shard ID from the pool's consistent-hash ring, not a
+	// connection-local server index. Valid when IsRef.
 	Located bool
-	// Replicas is the v2 replica-hint list (shard IDs believed to hold a
-	// copy of the payload, primary included). Non-empty only for
-	// replicated located refs; implies Located.
+	// Replicas is the replica-hint list of a located ref: shard IDs
+	// believed to hold a copy of the payload, primary included. It may be
+	// stale — readers fall back to the ring successors of Ref.Key. Carried
+	// only when Located; at most MaxRefReplicas.
 	Replicas []uint32
 	// Inline is the in-message payload (valid when !IsRef). Unmarshal
 	// aliases the envelope buffer; callers that retain it must copy.
@@ -63,89 +75,62 @@ func (a CallArg) Size() int64 {
 
 // wireSize returns the argument's encoded length.
 func (a CallArg) wireSize() int {
-	if a.IsRef {
-		if len(a.Replicas) > 0 {
-			return 1 + LocatedRefSize + 1 + 4*len(a.Replicas)
-		}
-		if a.Located {
-			return 1 + LocatedRefSize
-		}
+	switch {
+	case !a.IsRef:
+		return 1 + 4 + len(a.Inline)
+	case a.Located:
+		return 1 + dm.EncodedRefSize + 1 + 4*len(a.Replicas)
+	default:
 		return 1 + dm.EncodedRefSize
 	}
-	return 1 + 4 + len(a.Inline)
 }
 
 // encode appends the argument. When skipInlineBytes is set the inline
 // length prefix is written but the raw bytes are omitted (the bulk-arg
 // vectored-write path).
 func (a CallArg) encode(e *rpc.Enc, skipInlineBytes bool) {
-	if a.IsRef {
-		if len(a.Replicas) > 0 {
-			// Replicated (v2) ref: flag, version byte, the standard ref
-			// encoding, then the u8-counted replica shard-ID list.
-			e.U8(3)
-			e.U8(RefV2)
-			a.Ref.Encode(e)
-			e.U8(uint8(len(a.Replicas)))
-			for _, id := range a.Replicas {
-				e.U32(id)
-			}
+	switch {
+	case !a.IsRef:
+		e.U8(argInline)
+		if skipInlineBytes {
+			e.U32(uint32(len(a.Inline)))
 			return
 		}
-		if a.Located {
-			// Located (v1) ref: flag, version byte, then the standard ref
-			// encoding with Server carrying the shard ID.
-			e.U8(2)
-			e.U8(RefV1)
-			a.Ref.Encode(e)
-			return
-		}
-		e.U8(1)
+		e.Blob(a.Inline)
+	case a.Located:
+		e.U8(argLocRef)
 		a.Ref.Encode(e)
-		return
+		e.U8(uint8(len(a.Replicas)))
+		for _, id := range a.Replicas {
+			e.U32(id)
+		}
+	default:
+		e.U8(argRef)
+		a.Ref.Encode(e)
 	}
-	e.U8(0)
-	if skipInlineBytes {
-		e.U32(uint32(len(a.Inline)))
-		return
-	}
-	e.Blob(a.Inline)
 }
 
 // decodeCallArg reads one argument, aliasing d's buffer for inline data.
-// Flags other than 0/1/2/3 are rejected so the codec stays canonical; a
-// located arg must carry the ref version matching its flag (flag 2 = v1,
-// flag 3 = v2 with a non-empty replica list).
+// Unknown flags are rejected so the codec stays canonical.
 func decodeCallArg(d *rpc.Dec) (CallArg, error) {
 	switch d.U8() {
-	case 3:
-		if d.U8() != RefV2 {
-			return CallArg{}, ErrBadRefVersion
-		}
+	case argInline:
+		return CallArg{Inline: d.Blob()}, nil
+	case argRef:
+		return CallArg{IsRef: true, Ref: dm.DecodeRef(d)}, nil
+	case argLocRef:
 		a := CallArg{IsRef: true, Located: true, Ref: dm.DecodeRef(d)}
 		n := int(d.U8())
 		if n > MaxRefReplicas {
 			return CallArg{}, ErrTooManyReplicas
 		}
-		if n == 0 {
-			// Canonical encoders emit flag 3 only with replicas present; an
-			// empty list would re-encode as flag 2 and break canonicality.
-			return CallArg{}, ErrBadEnvelope
-		}
-		a.Replicas = make([]uint32, n)
-		for i := range a.Replicas {
-			a.Replicas[i] = d.U32()
+		if n > 0 {
+			a.Replicas = make([]uint32, n)
+			for i := range a.Replicas {
+				a.Replicas[i] = d.U32()
+			}
 		}
 		return a, nil
-	case 2:
-		if d.U8() != RefV1 {
-			return CallArg{}, ErrBadRefVersion
-		}
-		return CallArg{IsRef: true, Located: true, Ref: dm.DecodeRef(d)}, nil
-	case 1:
-		return CallArg{IsRef: true, Ref: dm.DecodeRef(d)}, nil
-	case 0:
-		return CallArg{Inline: d.Blob()}, nil
 	default:
 		return CallArg{}, ErrBadEnvelope
 	}

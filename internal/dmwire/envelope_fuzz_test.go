@@ -27,6 +27,12 @@ func FuzzCallEnvelope(f *testing.F) {
 	f.Add(uint8(0), CallEnvelope{Method: "m"}.Marshal())
 	f.Add(uint8(1), ReturnEnvelope{Args: env.Args}.Marshal())
 	f.Add(uint8(1), ReturnEnvelope{}.Marshal())
+	f.Add(uint8(1), ReturnEnvelope{Args: []CallArg{
+		{IsRef: true, Located: true, Ref: dm.Ref{Server: 4, Key: ReplicaKeyBit | 5, Size: 8192}},
+	}}.Marshal())
+	f.Add(uint8(0), CallEnvelope{Method: "m", Args: []CallArg{
+		{IsRef: true, Located: true, Ref: dm.Ref{Server: 4, Key: ReplicaKeyBit | 5, Size: 8192}, Replicas: []uint32{4, 1}},
+	}}.Marshal())
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		if which%2 == 0 {
 			e, err := UnmarshalCallEnvelope(body)

@@ -10,8 +10,10 @@ import (
 // FuzzUnmarshal throws arbitrary bodies at every request/response decoder
 // in the protocol: none may panic, and any body a decoder accepts must
 // re-encode to a prefix-identical wire form (the codecs are
-// canonical — no alternative encodings). Seeded with one valid frame per
-// codec so the fuzzer starts from the interesting region.
+// canonical — no alternative encodings). The fixed-layout register and
+// heartbeat messages must re-encode to exactly the accepted body. Seeded
+// with one valid frame per codec so the fuzzer starts from the
+// interesting region.
 func FuzzUnmarshal(f *testing.F) {
 	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000}.Marshal())
 	f.Add(uint8(0), RegisterResp{PID: 7, LeaseMillis: 15000, Credits: 256, Epoch: 9}.Marshal())
@@ -42,6 +44,7 @@ func FuzzUnmarshal(f *testing.F) {
 		{Key: ReplicaKeyBit | 10, Size: 32, Epoch: 2, Replicas: []uint32{1}},
 	}}.Marshal())
 	f.Add(uint8(19), RegSyncReq{AfterKey: ReplicaKeyBit, Limit: 256}.Marshal())
+	f.Add(uint8(20), RegisterReq{Version: ProtocolVersion}.Marshal())
 	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
 		check := func(name string, reenc []byte, err error) {
 			t.Helper()
@@ -52,10 +55,16 @@ func FuzzUnmarshal(f *testing.F) {
 				t.Fatalf("%s: accepted body does not round-trip", name)
 			}
 		}
-		switch which % 20 {
+		exact := func(name string, reenc []byte, err error) {
+			t.Helper()
+			if err == nil && !bytes.Equal(reenc, body) {
+				t.Fatalf("%s: accepted body does not re-encode exactly", name)
+			}
+		}
+		switch which % 21 {
 		case 0:
 			r, err := UnmarshalRegisterResp(body)
-			check("RegisterResp", r.Marshal(), err)
+			exact("RegisterResp", r.Marshal(), err)
 		case 1:
 			r, err := UnmarshalAllocReq(body)
 			check("AllocReq", r.Marshal(), err)
@@ -94,10 +103,10 @@ func FuzzUnmarshal(f *testing.F) {
 			check("ReadRefReq", r.Marshal(), err)
 		case 13:
 			r, err := UnmarshalHeartbeatReq(body)
-			check("HeartbeatReq", r.Marshal(), err)
+			exact("HeartbeatReq", r.Marshal(), err)
 		case 14:
 			r, err := UnmarshalHeartbeatResp(body)
-			check("HeartbeatResp", r.Marshal(), err)
+			exact("HeartbeatResp", r.Marshal(), err)
 		case 15:
 			tok, err := UnmarshalToken(body)
 			check("Token", tok.Marshal(), err)
@@ -117,6 +126,9 @@ func FuzzUnmarshal(f *testing.F) {
 			check("RegSyncReq", q.Marshal(), err)
 			g, err := UnmarshalRegGetReq(body)
 			check("RegGetReq", g.Marshal(), err)
+		case 20:
+			r, err := UnmarshalRegisterReq(body)
+			exact("RegisterReq", r.Marshal(), err)
 		}
 	})
 }

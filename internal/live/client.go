@@ -422,7 +422,8 @@ func (cl *Client) registerOne(i int, a string) error {
 	var lease time.Duration
 	var epoch uint64
 	shard := int64(-1)
-	err := cl.node.CallConsumeOpts(a, dmwire.MRegister, nil, nil, func(resp []byte) error {
+	req := dmwire.RegisterReq{Version: dmwire.ProtocolVersion}.Marshal()
+	err := cl.node.CallConsumeOpts(a, dmwire.MRegister, req, nil, func(resp []byte) error {
 		r, err := dmwire.UnmarshalRegisterResp(resp)
 		if err != nil {
 			return err

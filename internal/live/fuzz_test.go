@@ -3,6 +3,8 @@ package live
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/dmwire"
 )
 
 // FuzzReadFrame hardens the TCP framing against arbitrary streams: no
@@ -46,6 +48,7 @@ func FuzzServerDispatch(f *testing.F) {
 	f.Add(uint16(0x0100), []byte{})
 	f.Add(uint16(0x0101), []byte{0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 16})
 	f.Add(uint16(0x0109), make([]byte, 16))
+	f.Add(uint16(0x0100), dmwire.RegisterReq{Version: dmwire.ProtocolVersion}.Marshal())
 	f.Fuzz(func(t *testing.T, m uint16, body []byte) {
 		s := NewServer(ServerConfig{NumPages: 16, PageSize: 512})
 		s.dispatch(methodOf(m), body)

@@ -5,10 +5,12 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/dm"
+	"repro/internal/dmwire"
 )
 
 // startServer runs a live server on a loopback listener and returns its
@@ -228,6 +230,37 @@ func TestUnregisteredClientRejected(t *testing.T) {
 	defer cl.Close()
 	if _, err := cl.Alloc(100); err == nil {
 		t.Fatal("Alloc before Register succeeded")
+	}
+}
+
+// TestRegisterRefusesOtherProtocolVersions: a register naming another
+// protocol version, or carrying no version at all, comes back as an
+// error naming the mismatch and allocates no PID; a versioned register
+// then succeeds.
+func TestRegisterRefusesOtherProtocolVersions(t *testing.T) {
+	srv, addr := startServer(t, smallConfig())
+	n := NewNode()
+	defer n.Close()
+	pidsHeld := func() int {
+		srv.pidMu.RLock()
+		defer srv.pidMu.RUnlock()
+		return len(srv.pids)
+	}
+	for _, body := range [][]byte{{dmwire.ProtocolVersion + 1}, nil} {
+		_, err := n.Call(addr, dmwire.MRegister, body)
+		if err == nil || !strings.Contains(err.Error(), "protocol version mismatch") {
+			t.Fatalf("register with body %x: err = %v, want a protocol version mismatch", body, err)
+		}
+		if got := srv.nextPID.Load(); got != 0 || pidsHeld() != 0 || srv.LiveRefs() != 0 {
+			t.Fatalf("refused register allocated state: nextPID=%d pids=%d refs=%d", got, pidsHeld(), srv.LiveRefs())
+		}
+	}
+	resp, err := n.Call(addr, dmwire.MRegister, dmwire.RegisterReq{Version: dmwire.ProtocolVersion}.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r, err := dmwire.UnmarshalRegisterResp(resp); err != nil || r.PID != 0 || pidsHeld() != 1 {
+		t.Fatalf("versioned register = %+v, %v; pids held %d", r, err, pidsHeld())
 	}
 }
 

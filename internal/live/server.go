@@ -424,7 +424,7 @@ func (s *Server) dispatch(m rpc.Method, body []byte) (byte, []byte) {
 func (s *Server) handle(m rpc.Method, body []byte) ([]byte, error) {
 	switch m {
 	case dmwire.MRegister:
-		return s.register()
+		return s.register(body)
 	case dmwire.MAlloc:
 		return s.alloc(body)
 	case dmwire.MFree:
@@ -532,7 +532,12 @@ func (s *Server) sessionCredits() uint32 {
 	}
 }
 
-func (s *Server) register() ([]byte, error) {
+// register allocates a PID for a client speaking dmwire.ProtocolVersion;
+// any other version, or none, is refused before anything is allocated.
+func (s *Server) register(body []byte) ([]byte, error) {
+	if _, err := dmwire.UnmarshalRegisterReq(body); err != nil {
+		return nil, err
+	}
 	pid := s.nextPID.Add(1) - 1
 	ps := &pidState{va: dm.NewVAAllocator(s.cfg.PageSize, 1<<16, 1<<40)}
 	if s.cfg.LeaseTTL > 0 {

@@ -34,7 +34,7 @@ import (
 // through: satisfied by *live.Client (a single server pool) and
 // *pool.Client (a sharded cluster). Backends whose refs are
 // cluster-addressed additionally implement LocatedDM, making every
-// staged payload travel in dmwire's versioned v1 located-ref form.
+// staged payload travel as a dmwire located-ref argument.
 type DM interface {
 	StageRef(data []byte) (dm.Ref, error)
 	ReadRef(ref dm.Ref, off int64, dst []byte) error
@@ -54,7 +54,7 @@ type LocatedDM interface {
 // ReplicatedDM marks a DM backend that replicates staged payloads and
 // can fail reads over across replicas: satisfied by *pool.Client at
 // ReplicaFactor > 1 (and at R=1, where the hint paths just degrade to
-// plain reads). Stage emits replicated (v2) payloads through it, and
+// plain reads). Stage emits replicated payloads through it, and
 // Fetch/FetchLease feed a payload's carried replica hints back into the
 // failover read path — so a consumer can survive the primary's death
 // even when the ref was staged by another process. The hints are
@@ -512,11 +512,11 @@ func (c *Ctx) Adopt(p Payload) (Payload, error) {
 	return ByRef(own), nil
 }
 
-// errLocatedRef is returned when a cluster-addressed (v1) ref payload
+// errLocatedPayload is returned when a cluster-addressed ref payload
 // reaches an endpoint whose DM backend only understands connection-local
 // server indices — resolving it there would silently read the wrong
 // server's pages, so it is refused instead.
-var errLocatedRef = fmt.Errorf("liverpc: located ref payload reached a non-cluster DM backend")
+var errLocatedPayload = fmt.Errorf("liverpc: located ref payload reached a non-cluster DM backend")
 
 // checkRefBackend validates that dmc can resolve ref payload p.
 func checkRefBackend(dmc DM, p Payload) error {
@@ -524,7 +524,7 @@ func checkRefBackend(dmc DM, p Payload) error {
 		return errNoDM
 	}
 	if p.Located() && !located(dmc) {
-		return errLocatedRef
+		return errLocatedPayload
 	}
 	return nil
 }

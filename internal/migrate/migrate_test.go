@@ -108,9 +108,9 @@ func wantFixed(m map[uint64][]uint32) func(uint64) []uint32 {
 
 func TestPlanDiffs(t *testing.T) {
 	cur := []Placement{
-		{Key: K | 1, Size: 10, Epoch: 1, Have: []uint32{0, 1}}, // on target
-		{Key: K | 2, Size: 20, Epoch: 1, Have: []uint32{0, 2}}, // 2 -> 1
-		{Key: K | 3, Size: 30, Epoch: 1, Have: []uint32{0}},    // under-replicated
+		{Key: K | 1, Size: 10, Epoch: 1, Have: []uint32{0, 1}},    // on target
+		{Key: K | 2, Size: 20, Epoch: 1, Have: []uint32{0, 2}},    // 2 -> 1
+		{Key: K | 3, Size: 30, Epoch: 1, Have: []uint32{0}},       // under-replicated
 		{Key: K | 4, Size: 40, Epoch: 1, Have: []uint32{0, 1, 2}}, // surplus only
 	}
 	want := wantFixed(map[uint64][]uint32{

@@ -229,7 +229,7 @@ func failoverWorthy(err error) bool {
 }
 
 // ReadRefFrom is ReadRef with explicit replica hints (e.g. the shard
-// list carried by a v2 wire ref from another process). Whole-object
+// list carried by a located wire ref from another process). Whole-object
 // reads are served through the pool's hot-ref cache when enabled —
 // checked before shard routing, so a hit costs no RPC at all; a miss
 // runs the wire path below, which still fails over across replicas.
